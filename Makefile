@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke bench bench-smoke figures lint-hotpath
+.PHONY: check vet build test race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke bench bench-smoke figures figures-check lint-hotpath
 
 # The full CI gate: static checks, build, race-enabled tests, a short
 # fixed-seed chaos-fuzz campaign, and scheduler-evaluation smoke runs
 # (all deterministic, so safe to gate on).
-check: vet build race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke lint-hotpath
+check: vet build race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke figures-check lint-hotpath
 
 vet:
 	$(GO) vet ./...
@@ -63,6 +63,11 @@ bench-smoke:
 
 figures:
 	$(GO) run ./cmd/gangsim all
+
+# Figure gate: the full-size figure suite must reproduce results_full.txt
+# byte for byte, apart from its wall-clock trailer line.
+figures-check:
+	GO=$(GO) sh tools/figures_check.sh
 
 # Guard the zero-alloc hot paths: audited packages must not grow inline
 # closure callbacks at Schedule/At/Use call sites (allowlist for cold

@@ -51,6 +51,10 @@ go run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive -log > /tmp
 go run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive -log -shards 4 -workers 4 > /tmp/churn-repair-ci-b.txt
 cmp /tmp/churn-repair-ci-a.txt /tmp/churn-repair-ci-b.txt
 
+# Figure gate: the full-size figure suite (not -quick) must reproduce
+# results_full.txt byte for byte, apart from the wall-clock trailer.
+sh tools/figures_check.sh
+
 # Benchmark pipeline smoke: the report must build and serialize, and the
 # -compare path must parse it back and pass against itself re-measured
 # (allocs/event is deterministic, so self-comparison never regresses).

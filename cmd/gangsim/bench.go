@@ -65,10 +65,9 @@ type ScalingResult struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	Events      uint64  `json:"events"`
 	EventsPerS  float64 `json:"events_per_second"`
-	// Speedup is wall time of the workers=1 sharded leg divided by this
-	// leg's wall time (1.0 for that leg itself; 0 for the unsharded
-	// baseline, which is the serial reference, not part of the scaling
-	// curve).
+	// Speedup is wall time of the unsharded serial leg divided by this
+	// leg's wall time (1.0 for that leg itself), so the sharded legs'
+	// coordination overhead counts against their speedup.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -358,8 +357,8 @@ func parallelScaling(quick bool, out io.Writer) []ScalingResult {
 		r.Name = fmt.Sprintf("shards=%d workers=%d", shards, w)
 		legs = append(legs, r)
 	}
-	ref := legs[1].WallSeconds
-	for i := 1; i < len(legs); i++ {
+	ref := legs[0].WallSeconds
+	for i := range legs {
 		if legs[i].WallSeconds > 0 {
 			legs[i].Speedup = ref / legs[i].WallSeconds
 		}

@@ -19,12 +19,52 @@ package lanai
 // are idempotent, completed epochs reject late stragglers, the unheard-peer
 // set is the retransmission target list, and an evicted peer can be dropped
 // from the expected count of every open epoch.
+//
+// Figure 3's state is a counter, and so is the tracker's: each epoch keeps
+// a dense heard bitset plus a count of the heard peers that are still
+// members, so an arrival costs O(1). Membership changes are the rare event
+// that pays — an eviction or join adjusts the count of every retained
+// epoch that heard the peer.
 
 import (
-	"sort"
+	"slices"
 
 	"gangfm/internal/myrinet"
 )
+
+// bitset is a dense set of node IDs, one bit per node of the machine.
+type bitset []uint64
+
+func newBitset(nodes int) bitset { return make(bitset, (nodes+63)/64) }
+
+func (b bitset) has(id myrinet.NodeID) bool { return b[id>>6]&(1<<(id&63)) != 0 }
+
+// add inserts id and reports whether it was absent.
+func (b bitset) add(id myrinet.NodeID) bool {
+	if b.has(id) {
+		return false
+	}
+	b[id>>6] |= 1 << (id & 63)
+	return true
+}
+
+// remove deletes id and reports whether it was present.
+func (b bitset) remove(id myrinet.NodeID) bool {
+	if !b.has(id) {
+		return false
+	}
+	b[id>>6] &^= 1 << (id & 63)
+	return true
+}
+
+// epochState is one epoch's record: the peers heard from, how many of
+// them are still members, and the local transition with its callback.
+type epochState struct {
+	heard  bitset
+	live   int
+	local  bool
+	onDone func()
+}
 
 // phaseTracker counts one class of control message (halt or ready) per
 // epoch and fires a completion callback when the local transition has
@@ -32,10 +72,12 @@ import (
 type phaseTracker struct {
 	peers int // number of live remote nodes expected to report (p-1)
 
-	heard   map[uint64]map[myrinet.NodeID]bool
-	local   map[uint64]bool
-	onDone  map[uint64]func()
-	evicted map[myrinet.NodeID]bool
+	// evicted is the card's membership bitset, shared by its flush and
+	// release trackers. The card flips a peer's bit, then calls Evict or
+	// Join on each tracker; the tracker only reads it.
+	evicted bitset
+
+	epochs map[uint64]*epochState
 
 	// Completed epochs are tracked as a watermark plus exceptions rather
 	// than an ever-growing set: epochs complete (nearly) in order, one per
@@ -49,32 +91,49 @@ type phaseTracker struct {
 	doneAny bool
 	doneEx  map[uint64]bool
 
-	// setPool recycles the per-epoch heard sets: epochs open and close at
-	// every switch, so reusing the cleared map keeps the steady-state
-	// flush allocation-free.
-	setPool []map[myrinet.NodeID]bool
+	// pool recycles completed epoch records and openScratch is Evict's
+	// reusable list of open epochs: epochs open and close at every switch,
+	// so the steady-state flush allocates nothing.
+	pool        []*epochState
+	openScratch []uint64
 }
 
-func newPhaseTracker(peers int) *phaseTracker {
+// newPhaseTracker returns a tracker for a card on a machine of the given
+// size, reading membership from the card's evicted bitset.
+func newPhaseTracker(nodes int, evicted bitset) *phaseTracker {
 	return &phaseTracker{
-		peers:   peers,
-		heard:   make(map[uint64]map[myrinet.NodeID]bool),
-		local:   make(map[uint64]bool),
+		peers:   nodes - 1,
+		evicted: evicted,
+		epochs:  make(map[uint64]*epochState),
 		doneEx:  make(map[uint64]bool),
-		onDone:  make(map[uint64]func()),
-		evicted: make(map[myrinet.NodeID]bool),
 	}
+}
+
+// record returns the epoch's record, opening a pooled one if needed.
+func (t *phaseTracker) record(epoch uint64) *epochState {
+	s := t.epochs[epoch]
+	if s == nil {
+		if ln := len(t.pool); ln > 0 {
+			s = t.pool[ln-1]
+			t.pool = t.pool[:ln-1]
+		} else {
+			s = &epochState{heard: make(bitset, len(t.evicted))}
+		}
+		t.epochs[epoch] = s
+	}
+	return s
 }
 
 // LocalTransition records the node's own halt/ready ("lh" in Figure 3) for
 // epoch and registers the completion callback.
 func (t *phaseTracker) LocalTransition(epoch uint64, onDone func()) {
-	if t.local[epoch] {
+	s := t.record(epoch)
+	if s.local {
 		panic("lanai: duplicate local phase transition for epoch")
 	}
-	t.local[epoch] = true
-	t.onDone[epoch] = onDone
-	t.check(epoch)
+	s.local = true
+	s.onDone = onDone
+	t.check(epoch, s)
 }
 
 // Arrive records a remote halt/ready ("ah" in Figure 3) for epoch from the
@@ -83,47 +142,31 @@ func (t *phaseTracker) LocalTransition(epoch uint64, onDone func()) {
 // one from an evicted peer is stale and returns false (the caller counts it
 // and drops the packet).
 func (t *phaseTracker) Arrive(epoch uint64, from myrinet.NodeID) bool {
-	if t.Done(epoch) || t.evicted[from] {
+	if t.Done(epoch) || t.evicted.has(from) {
 		return false
 	}
-	set := t.heard[epoch]
-	if set == nil {
-		if ln := len(t.setPool); ln > 0 {
-			set = t.setPool[ln-1]
-			t.setPool = t.setPool[:ln-1]
-		} else {
-			set = make(map[myrinet.NodeID]bool)
-		}
-		t.heard[epoch] = set
-	}
-	if set[from] {
+	s := t.record(epoch)
+	if !s.heard.add(from) {
 		return false
 	}
-	set[from] = true
-	t.check(epoch)
+	s.live++
+	t.check(epoch, s)
 	return true
 }
 
 // Heard reports whether the peer's message for epoch has been counted.
 func (t *phaseTracker) Heard(epoch uint64, from myrinet.NodeID) bool {
-	return t.heard[epoch][from]
-}
-
-// liveHeard counts the epoch's arrivals from peers that are still members.
-func (t *phaseTracker) liveHeard(epoch uint64) int {
-	n := 0
-	for from := range t.heard[epoch] {
-		if !t.evicted[from] {
-			n++
-		}
-	}
-	return n
+	s := t.epochs[epoch]
+	return s != nil && s.heard.has(from)
 }
 
 // State returns (locallyDone, remoteCount) for an epoch — the Figure 3
 // state label (S/H, k) with k = remoteCount + (1 if locallyDone).
 func (t *phaseTracker) State(epoch uint64) (local bool, remote int) {
-	return t.local[epoch], t.liveHeard(epoch)
+	if s := t.epochs[epoch]; s != nil {
+		return s.local, s.live
+	}
+	return false, 0
 }
 
 // Done reports whether the epoch's phase has completed.
@@ -135,64 +178,76 @@ func (t *phaseTracker) Done(epoch uint64) bool {
 // the epoch (including epochs already completed, whose per-epoch state has
 // been freed).
 func (t *phaseTracker) Transitioned(epoch uint64) bool {
-	return t.Done(epoch) || t.local[epoch]
+	if t.Done(epoch) {
+		return true
+	}
+	s := t.epochs[epoch]
+	return s != nil && s.local
 }
 
 // ForceComplete completes an epoch's phase without the missing peers — the
 // recovery layer's last resort after the retransmission budget is spent.
 // It is a no-op before the local transition or after normal completion.
 func (t *phaseTracker) ForceComplete(epoch uint64) bool {
-	if t.Done(epoch) || !t.local[epoch] {
+	s := t.epochs[epoch]
+	if t.Done(epoch) || s == nil || !s.local {
 		return false
 	}
-	t.complete(epoch)
+	t.complete(epoch, s)
 	return true
 }
 
-// Evict removes a peer from the membership: it is no longer expected to
-// report for any epoch, past or future. Open epochs whose only missing
-// messages were the evicted peer's complete immediately (in ascending epoch
-// order, for determinism).
+// Evict drops a peer, whose bit the card has just set in the membership
+// bitset, from the expected count of every epoch, past or future, and
+// discounts its arrivals in every retained record. Open epochs whose only
+// missing messages were the evicted peer's complete immediately (in
+// ascending epoch order, for determinism).
 func (t *phaseTracker) Evict(peer myrinet.NodeID) {
-	if t.evicted[peer] {
-		return
-	}
-	t.evicted[peer] = true
 	t.peers--
-	open := make([]uint64, 0, len(t.onDone))
-	for e := range t.onDone {
-		open = append(open, e)
+	// Take the scratch list: a completion callback may evict again.
+	open := t.openScratch[:0]
+	t.openScratch = nil
+	for e, s := range t.epochs {
+		if s.heard.has(peer) {
+			s.live--
+		}
+		if s.local {
+			open = append(open, e)
+		}
 	}
-	sort.Slice(open, func(i, j int) bool { return open[i] < open[j] })
+	slices.Sort(open)
 	for _, e := range open {
-		t.check(e)
+		if s := t.epochs[e]; s != nil {
+			t.check(e, s)
+		}
 	}
+	t.openScratch = open
 }
 
-// Evicted reports whether the peer has been removed from the membership.
-func (t *phaseTracker) Evicted(peer myrinet.NodeID) bool { return t.evicted[peer] }
-
-// Join restores an evicted peer to the membership: future epochs expect its
-// reports again. The caller (the masterd rejoin barrier) guarantees no epoch
-// is open anywhere when joins are applied — growing the membership mid-epoch
-// could stall an epoch that was already satisfied — so Join touches only the
-// membership, never the open-epoch state.
+// Join restores a peer, whose bit the card has just cleared in the
+// membership bitset: future epochs expect its reports again, and arrivals
+// it made before its eviction that are still retained (an early report for
+// a future epoch) count again. The caller (the masterd rejoin barrier)
+// guarantees no epoch is open anywhere when joins are applied — growing
+// the membership mid-epoch could stall an epoch that was already
+// satisfied. A join can never complete an epoch, so it re-checks nothing.
 func (t *phaseTracker) Join(peer myrinet.NodeID) {
-	if !t.evicted[peer] {
-		return
-	}
-	delete(t.evicted, peer)
 	t.peers++
+	for _, s := range t.epochs {
+		if s.heard.has(peer) {
+			s.live++
+		}
+	}
 }
 
-func (t *phaseTracker) check(epoch uint64) {
-	if t.Done(epoch) || !t.local[epoch] || t.liveHeard(epoch) < t.peers {
+func (t *phaseTracker) check(epoch uint64, s *epochState) {
+	if !s.local || s.live < t.peers || t.Done(epoch) {
 		return
 	}
-	t.complete(epoch)
+	t.complete(epoch, s)
 }
 
-func (t *phaseTracker) complete(epoch uint64) {
+func (t *phaseTracker) complete(epoch uint64, s *epochState) {
 	if !t.doneAny {
 		t.doneAny = true
 		t.doneLo = epoch
@@ -202,17 +257,14 @@ func (t *phaseTracker) complete(epoch uint64) {
 		delete(t.doneEx, t.doneLo)
 		t.doneLo++
 	}
-	cb := t.onDone[epoch]
-	// Free the epoch's bookkeeping; epochs are never revisited (the done
+	cb := s.onDone
+	// Free the epoch's record; epochs are never revisited (the done
 	// watermark keeps stragglers for old epochs detectable without
 	// retaining per-epoch state).
-	if set := t.heard[epoch]; set != nil {
-		clear(set)
-		t.setPool = append(t.setPool, set)
-	}
-	delete(t.heard, epoch)
-	delete(t.local, epoch)
-	delete(t.onDone, epoch)
+	delete(t.epochs, epoch)
+	clear(s.heard)
+	s.live, s.local, s.onDone = 0, false, nil
+	t.pool = append(t.pool, s)
 	if cb != nil {
 		cb()
 	}

@@ -1,6 +1,7 @@
 package lanai
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,8 +9,28 @@ import (
 	"gangfm/internal/myrinet"
 )
 
+// newTestTracker returns node 0's tracker on a machine of peers+1 nodes,
+// with a membership bitset of its own.
+func newTestTracker(peers int) *phaseTracker {
+	return newPhaseTracker(peers+1, newBitset(peers+1))
+}
+
+// evict and join change a peer's membership the way NIC.EvictPeer and
+// NIC.JoinPeer do: flip the membership bit once, then notify the tracker.
+func evict(pt *phaseTracker, peer myrinet.NodeID) {
+	if pt.evicted.add(peer) {
+		pt.Evict(peer)
+	}
+}
+
+func join(pt *phaseTracker, peer myrinet.NodeID) {
+	if pt.evicted.remove(peer) {
+		pt.Join(peer)
+	}
+}
+
 func TestPhaseTrackerBasic(t *testing.T) {
-	pt := newPhaseTracker(3)
+	pt := newTestTracker(3)
 	done := false
 	pt.LocalTransition(1, func() { done = true })
 	if done {
@@ -33,7 +54,7 @@ func TestPhaseTrackerRemoteFirst(t *testing.T) {
 	// Figure 3: an arriving halt may precede the local halt ("a certain
 	// LANai may receive a halt message before it was notified by its
 	// noded").
-	pt := newPhaseTracker(2)
+	pt := newTestTracker(2)
 	pt.Arrive(5, 1)
 	pt.Arrive(5, 2)
 	done := false
@@ -44,7 +65,7 @@ func TestPhaseTrackerRemoteFirst(t *testing.T) {
 }
 
 func TestPhaseTrackerEpochIsolation(t *testing.T) {
-	pt := newPhaseTracker(1)
+	pt := newTestTracker(1)
 	done1, done2 := false, false
 	pt.LocalTransition(1, func() { done1 = true })
 	// A halt for a *future* epoch must not complete epoch 1.
@@ -63,7 +84,7 @@ func TestPhaseTrackerEpochIsolation(t *testing.T) {
 }
 
 func TestPhaseTrackerZeroPeers(t *testing.T) {
-	pt := newPhaseTracker(0)
+	pt := newTestTracker(0)
 	done := false
 	pt.LocalTransition(0, func() { done = true })
 	if !done {
@@ -72,7 +93,7 @@ func TestPhaseTrackerZeroPeers(t *testing.T) {
 }
 
 func TestPhaseTrackerState(t *testing.T) {
-	pt := newPhaseTracker(4)
+	pt := newTestTracker(4)
 	if l, r := pt.State(7); l || r != 0 {
 		t.Fatal("initial state should be S,0")
 	}
@@ -88,7 +109,7 @@ func TestPhaseTrackerState(t *testing.T) {
 }
 
 func TestPhaseTrackerDuplicateLocalPanics(t *testing.T) {
-	pt := newPhaseTracker(2)
+	pt := newTestTracker(2)
 	pt.LocalTransition(1, nil)
 	defer func() {
 		if recover() == nil {
@@ -101,7 +122,7 @@ func TestPhaseTrackerDuplicateLocalPanics(t *testing.T) {
 func TestPhaseTrackerDuplicateArrivalIsStale(t *testing.T) {
 	// A retransmitted halt from a peer already counted must not advance
 	// the state machine; Arrive reports it stale instead.
-	pt := newPhaseTracker(2)
+	pt := newTestTracker(2)
 	if !pt.Arrive(1, 1) {
 		t.Fatal("first arrival from peer 1 should be fresh")
 	}
@@ -124,7 +145,7 @@ func TestPhaseTrackerDuplicateArrivalIsStale(t *testing.T) {
 }
 
 func TestPhaseTrackerForceComplete(t *testing.T) {
-	pt := newPhaseTracker(2)
+	pt := newTestTracker(2)
 	done := false
 	// Before the local transition, force-complete must refuse: the node
 	// has not even halted itself yet.
@@ -149,17 +170,17 @@ func TestPhaseTrackerForceComplete(t *testing.T) {
 }
 
 func TestPhaseTrackerEvict(t *testing.T) {
-	pt := newPhaseTracker(3)
+	pt := newTestTracker(3)
 	done := false
 	pt.LocalTransition(1, func() { done = true })
 	pt.Arrive(1, 1)
 	pt.Arrive(1, 2)
 	// Evicting the only unheard peer completes the open epoch.
-	pt.Evict(3)
+	evict(pt, 3)
 	if !done {
 		t.Fatal("eviction of the last missing peer should complete the phase")
 	}
-	if !pt.Evicted(3) || pt.Evicted(2) {
+	if !pt.evicted.has(3) || pt.evicted.has(2) {
 		t.Fatal("eviction bookkeeping wrong")
 	}
 	// The next epoch expects only the two survivors.
@@ -174,7 +195,7 @@ func TestPhaseTrackerEvict(t *testing.T) {
 		t.Fatal("survivor-only epoch should complete without the evicted peer")
 	}
 	// Eviction is idempotent: peers must not be double-decremented.
-	pt.Evict(3)
+	evict(pt, 3)
 	done = false
 	pt.LocalTransition(4, func() { done = true })
 	pt.Arrive(4, 1)
@@ -190,11 +211,11 @@ func TestPhaseTrackerEvict(t *testing.T) {
 func TestPhaseTrackerEvictAlreadyHeardPeer(t *testing.T) {
 	// Evicting a peer whose message was already counted must re-evaluate
 	// the epoch with that arrival discounted — not complete early.
-	pt := newPhaseTracker(2)
+	pt := newTestTracker(2)
 	done := false
 	pt.LocalTransition(1, func() { done = true })
 	pt.Arrive(1, 1)
-	pt.Evict(1)
+	evict(pt, 1)
 	if done {
 		t.Fatal("evicting the already-heard peer must discount its arrival, not complete the phase")
 	}
@@ -204,8 +225,64 @@ func TestPhaseTrackerEvictAlreadyHeardPeer(t *testing.T) {
 	}
 }
 
+func TestPhaseTrackerJoin(t *testing.T) {
+	pt := newTestTracker(3)
+	// Peer 2 reports early for a future epoch, then is evicted: the
+	// retained arrival stops counting but is not forgotten.
+	pt.Arrive(5, 2)
+	evict(pt, 2)
+	if l, r := pt.State(5); l || r != 0 {
+		t.Fatalf("state after evicting the early reporter = (%v,%d), want (false,0)", l, r)
+	}
+	if !pt.Heard(5, 2) {
+		t.Fatal("the evicted peer's early arrival should stay recorded")
+	}
+	join(pt, 2)
+	if pt.evicted.has(2) {
+		t.Fatal("join should clear the membership bit")
+	}
+	if l, r := pt.State(5); l || r != 1 {
+		t.Fatalf("state after rejoin = (%v,%d), want (false,1): the retained arrival counts again", l, r)
+	}
+	if pt.Arrive(5, 2) {
+		t.Fatal("the rejoined peer's repeat of a counted arrival should be stale")
+	}
+	done := false
+	pt.LocalTransition(5, func() { done = true })
+	pt.Arrive(5, 1)
+	if done {
+		t.Fatal("completed with peer 3 still missing")
+	}
+	pt.Arrive(5, 3)
+	if !done {
+		t.Fatal("epoch should complete with the rejoined peer's early arrival counted")
+	}
+	// A joined peer is expected again: epoch 6 waits for it.
+	done = false
+	pt.LocalTransition(6, func() { done = true })
+	pt.Arrive(6, 1)
+	pt.Arrive(6, 3)
+	if done {
+		t.Fatal("epoch completed without the rejoined peer")
+	}
+	pt.Arrive(6, 2)
+	if !done {
+		t.Fatal("rejoined peer's arrival should complete the epoch")
+	}
+	// Join is idempotent: a member's join must not grow the expected count.
+	join(pt, 2)
+	done = false
+	pt.LocalTransition(7, func() { done = true })
+	for p := myrinet.NodeID(1); p <= 3; p++ {
+		pt.Arrive(7, p)
+	}
+	if !done {
+		t.Fatal("a repeated join inflated the expected count")
+	}
+}
+
 func TestPhaseTrackerTransitioned(t *testing.T) {
-	pt := newPhaseTracker(1)
+	pt := newTestTracker(1)
 	if pt.Transitioned(9) {
 		t.Fatal("untouched epoch should not be transitioned")
 	}
@@ -234,7 +311,7 @@ func TestFlushAllInterleavingsProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		r.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
 
-		pt := newPhaseTracker(peers)
+		pt := newTestTracker(peers)
 		completions := 0
 		for i, ev := range events {
 			last := i == len(events)-1
@@ -251,5 +328,50 @@ func TestFlushAllInterleavingsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flushEpoch runs one whole epoch through node 0's tracker on a machine of
+// the given size: the local transition, then an arrival from each of the
+// other nodes.
+func flushEpoch(pt *phaseTracker, nodes int, epoch uint64, done func()) {
+	pt.LocalTransition(epoch, done)
+	for p := 1; p < nodes; p++ {
+		pt.Arrive(epoch, myrinet.NodeID(p))
+	}
+}
+
+// BenchmarkFlushEpoch is the per-layer cost of the flush accounting: one
+// epoch of p-1 arrivals per op, on one tracker.
+func BenchmarkFlushEpoch(b *testing.B) {
+	for _, n := range []int{16, 128, 512} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			pt := newTestTracker(n - 1)
+			done := func() {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				flushEpoch(pt, n, uint64(i), done)
+			}
+		})
+	}
+}
+
+// The steady-state flush allocates nothing: epoch records are pooled.
+func TestFlushEpochZeroAlloc(t *testing.T) {
+	pt := newTestTracker(127)
+	completed := 0
+	done := func() { completed++ }
+	epoch := uint64(0)
+	flushEpoch(pt, 128, epoch, done)
+	allocs := testing.AllocsPerRun(100, func() {
+		epoch++
+		flushEpoch(pt, 128, epoch, done)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state flush epoch allocates %.1f times, want 0", allocs)
+	}
+	if want := int(epoch) + 1; completed != want {
+		t.Fatalf("%d epochs completed, want %d", completed, want)
 	}
 }

@@ -172,6 +172,10 @@ type NIC struct {
 	scanPending bool
 	rr          int // round-robin cursor over context slots
 
+	// evicted is the card's one membership view: a bit per node, set
+	// while the peer is evicted. The flush and release trackers share it.
+	evicted bitset
+
 	// recovery, when non-nil, enables the retransmission layer; the
 	// timer maps hold the pending per-epoch retransmission events so
 	// normal completion cancels them (zero clean-path overhead).
@@ -287,14 +291,16 @@ func (op *ctrlOp) fireArrive() {
 
 // New creates a card attached to the network.
 func New(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model, cfg Config) *NIC {
+	evicted := newBitset(net.Nodes())
 	n := &NIC{
 		eng:        eng,
 		net:        net,
 		mem:        mem,
 		cfg:        cfg,
 		byJob:      make(map[myrinet.JobID]*Context),
-		flush:      newPhaseTracker(net.Nodes() - 1),
-		release:    newPhaseTracker(net.Nodes() - 1),
+		evicted:    evicted,
+		flush:      newPhaseTracker(net.Nodes(), evicted),
+		release:    newPhaseTracker(net.Nodes(), evicted),
 		recvEngine: sim.NewResource(eng, fmt.Sprintf("nic%d-recv", cfg.Node)),
 		stats:      Stats{Drops: make(map[DropReason]uint64)},
 	}
@@ -345,8 +351,10 @@ func (n *NIC) SetRecovery(r Recovery) {
 // longer expected to report in any flush or release phase, open epochs
 // blocked only on it complete immediately, and future broadcasts skip it.
 func (n *NIC) EvictPeer(peer myrinet.NodeID) {
-	n.flush.Evict(peer)
-	n.release.Evict(peer)
+	if n.evicted.add(peer) {
+		n.flush.Evict(peer)
+		n.release.Evict(peer)
+	}
 }
 
 // JoinPeer restores an evicted peer to the card's membership view: a
@@ -355,8 +363,10 @@ func (n *NIC) EvictPeer(peer myrinet.NodeID) {
 // barrier only applies joins between rotation rounds, when no flush or
 // release epoch is open on any card.
 func (n *NIC) JoinPeer(peer myrinet.NodeID) {
-	n.flush.Join(peer)
-	n.release.Join(peer)
+	if n.evicted.remove(peer) {
+		n.flush.Join(peer)
+		n.release.Join(peer)
+	}
 }
 
 // Halted reports the state of the halt bit.
@@ -548,7 +558,7 @@ func (n *NIC) HaltNetwork(epoch uint64, onFlushed func()) {
 	delay := sim.Time(0)
 	for d := 0; d < n.net.Nodes(); d++ {
 		dst := myrinet.NodeID(d)
-		if dst == n.cfg.Node || n.flush.Evicted(dst) {
+		if dst == n.cfg.Node || n.evicted.has(dst) {
 			continue
 		}
 		delay += n.cfg.CtlOverhead
@@ -583,7 +593,7 @@ func (n *NIC) ReleaseNetwork(epoch uint64, onReleased func()) {
 	delay := sim.Time(0)
 	for d := 0; d < n.net.Nodes(); d++ {
 		dst := myrinet.NodeID(d)
-		if dst == n.cfg.Node || n.release.Evicted(dst) {
+		if dst == n.cfg.Node || n.evicted.has(dst) {
 			continue
 		}
 		delay += n.cfg.CtlOverhead
@@ -697,7 +707,7 @@ func (n *NIC) retryFire(t *phaseTracker, epoch uint64, attempt int) {
 	delay := sim.Time(0)
 	for d := 0; d < n.net.Nodes(); d++ {
 		dst := myrinet.NodeID(d)
-		if dst == n.cfg.Node || t.Evicted(dst) || t.Heard(epoch, dst) {
+		if dst == n.cfg.Node || n.evicted.has(dst) || t.Heard(epoch, dst) {
 			continue
 		}
 		delay += n.cfg.CtlOverhead
@@ -784,7 +794,7 @@ func (n *NIC) ctrlArrive(t *phaseTracker, epoch uint64, src myrinet.NodeID, retx
 		return
 	}
 	n.stats.StaleCtrl++
-	if !retx || n.recovery == nil || t.Evicted(src) || !t.Transitioned(epoch) {
+	if !retx || n.recovery == nil || n.evicted.has(src) || !t.Transitioned(epoch) {
 		return
 	}
 	typ := myrinet.Halt

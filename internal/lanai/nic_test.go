@@ -170,6 +170,53 @@ func TestFlushWaitsForAllNodes(t *testing.T) {
 	}
 }
 
+// One membership bitset serves both of a card's trackers: an eviction,
+// even a repeated one, lets flush and release complete without the peer
+// and stops broadcasts to it; a join, even a repeated one, makes both wait
+// for it again.
+func TestEvictJoinPeerMembership(t *testing.T) {
+	eng, _, nics := rig(t, 3)
+	for _, n := range nics[:2] {
+		n.EvictPeer(2)
+		n.EvictPeer(2)
+	}
+	flushed, released := 0, 0
+	for _, n := range nics[:2] {
+		n.HaltNetwork(1, func() { flushed++ })
+	}
+	eng.Run()
+	if flushed != 2 {
+		t.Fatalf("%d of 2 survivors flushed without the evicted node", flushed)
+	}
+	if sent := nics[0].Stats().HaltsSent; sent != 1 {
+		t.Fatalf("node 0 sent %d halts, want 1 (none to the evicted node)", sent)
+	}
+	for _, n := range nics[:2] {
+		n.ReleaseNetwork(1, func() { released++ })
+	}
+	eng.Run()
+	if released != 2 {
+		t.Fatalf("%d of 2 survivors released without the evicted node", released)
+	}
+	for _, n := range nics[:2] {
+		n.JoinPeer(2)
+		n.JoinPeer(2)
+	}
+	flushed = 0
+	for _, n := range nics[:2] {
+		n.HaltNetwork(2, func() { flushed++ })
+	}
+	eng.Run()
+	if flushed != 0 {
+		t.Fatal("flush completed without the rejoined node")
+	}
+	nics[2].HaltNetwork(2, func() { flushed++ })
+	eng.Run()
+	if flushed != 3 {
+		t.Fatalf("flushed %d nodes after the rejoin, want 3", flushed)
+	}
+}
+
 // TestFlushDrainsInFlight is the core flush correctness property: data
 // injected before the halt is delivered before the flush completes, so the
 // buffer switch sees a quiescent network.
